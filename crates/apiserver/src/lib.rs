@@ -1588,18 +1588,14 @@ impl ApiServer {
         })
     }
 
-    /// Simulates an apiserver restart: the storage backend runs crash
-    /// recovery (replaying its durable structures — a no-op for the
-    /// in-memory engine, a segment-log replay for the log engine), then
-    /// the watch cache is dropped and rebuilt from the recovered store
-    /// with quorum reads, which is when at-rest corruption finally gets
-    /// picked up (§V-C1).
+    /// Simulates an apiserver restart: the watch cache is dropped and
+    /// rebuilt from the store with quorum reads, which is when at-rest
+    /// corruption finally gets picked up (§V-C1).
     pub fn restart(&mut self) {
         self.log(
             TraceLevel::Warn,
-            "apiserver restarting: recovering store, rebuilding watch cache".to_owned(),
+            "apiserver restarting: rebuilding watch cache from the store".to_owned(),
         );
-        self.etcd.recover();
         self.etcd_seen_rev = self.etcd.revision();
         self.rebuild_cache_from_store();
     }
@@ -2064,36 +2060,33 @@ mod tests {
     fn at_rest_corruption_invisible_to_watch_pipeline_until_restart() {
         // Corruption families tamper below the wire: no revision bump, no
         // watch event. Watchers and the cache keep serving the clean
-        // object until a restart's recover-and-relist surfaces the
-        // damage. Both storage engines must agree — on `log` the tamper
-        // has to survive the backend's crash-recovery replay.
-        for kind in [etcd_sim::StorageKind::Mem, etcd_sim::StorageKind::Log] {
-            let etcd = Etcd::with_backend(kind, 1, 10 * 1024 * 1024);
-            let interceptor: InterceptorHandle = Rc::new(RefCell::new(NoopInterceptor));
-            let trace: TraceHandle = Rc::new(RefCell::new(Trace::new(1024)));
-            let mut a = ApiServer::new(etcd, interceptor, trace);
-            let created = a.create(Channel::UserToApi, pod("default", "p1")).unwrap();
-            let cursor = a.watch_head();
-            let mut tampered = (*created).clone();
-            if let Object::Pod(p) = &mut tampered {
-                p.spec.node_name = "ghost-node".into();
-            }
-            assert!(a
-                .etcd_mut()
-                .corrupt_at_rest(0, "/registry/pods/default/p1", tampered.encode()));
-            let (events, _) = a.poll_events(cursor);
-            assert!(events.is_empty(), "{kind:?}: at-rest corruption must not emit watch events");
-            assert_eq!(
-                a.get(Kind::Pod, "default", "p1").unwrap().as_pod().unwrap().spec.node_name,
-                "",
-                "{kind:?}: the watch cache keeps serving the clean object"
-            );
-            a.restart();
-            assert_eq!(
-                a.get(Kind::Pod, "default", "p1").unwrap().as_pod().unwrap().spec.node_name,
-                "ghost-node",
-                "{kind:?}: restart recovery must surface the corruption"
-            );
+        // object until a restart's re-list from the store surfaces the
+        // damage.
+        let etcd = Etcd::new(1, 10 * 1024 * 1024);
+        let interceptor: InterceptorHandle = Rc::new(RefCell::new(NoopInterceptor));
+        let trace: TraceHandle = Rc::new(RefCell::new(Trace::new(1024)));
+        let mut a = ApiServer::new(etcd, interceptor, trace);
+        let created = a.create(Channel::UserToApi, pod("default", "p1")).unwrap();
+        let cursor = a.watch_head();
+        let mut tampered = (*created).clone();
+        if let Object::Pod(p) = &mut tampered {
+            p.spec.node_name = "ghost-node".into();
         }
+        assert!(a
+            .etcd_mut()
+            .corrupt_at_rest(0, "/registry/pods/default/p1", tampered.encode()));
+        let (events, _) = a.poll_events(cursor);
+        assert!(events.is_empty(), "at-rest corruption must not emit watch events");
+        assert_eq!(
+            a.get(Kind::Pod, "default", "p1").unwrap().as_pod().unwrap().spec.node_name,
+            "",
+            "the watch cache keeps serving the clean object"
+        );
+        a.restart();
+        assert_eq!(
+            a.get(Kind::Pod, "default", "p1").unwrap().as_pod().unwrap().spec.node_name,
+            "ghost-node",
+            "restart must surface the corruption"
+        );
     }
 }

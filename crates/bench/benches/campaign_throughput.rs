@@ -1,7 +1,7 @@
 //! Campaign-throughput bench: the perf trajectory of the experiment hot
 //! path. Emits `BENCH_campaign.json` at the workspace root so successive
-//! PRs can compare experiments/sec, per-experiment latency percentiles,
-//! and the work-stealing-vs-static-chunk executor gap.
+//! PRs can compare experiments/sec and per-experiment latency
+//! percentiles.
 //!
 //! Knobs (see the `mutiny_bench` crate docs): `MUTINY_SCALE` (default
 //! 0.05 here — the acceptance scale), `MUTINY_GOLDEN_RUNS` (default 12
@@ -9,7 +9,7 @@
 //! `MUTINY_SEED`, `MUTINY_THREADS`.
 
 use k8s_cluster::ClusterConfig;
-use mutiny_core::campaign::{run_campaign_static_chunks, run_campaign_with_threads};
+use mutiny_core::campaign::run_campaign_with_threads;
 use mutiny_core::exec;
 use std::io::Write as _;
 use std::time::Instant;
@@ -66,15 +66,15 @@ fn main() {
     let baseline_s = t.elapsed().as_secs_f64();
 
     // Measured quantity 1: campaign wall-clock on the work-stealing
-    // executor (the production path). The decode-cache counters are
-    // scoped to exactly this run, so the reported hit rate is the
-    // campaign's, not the baseline build's.
+    // executor. The decode-cache counters are scoped to exactly this
+    // run, so the reported hit rate is the campaign's, not the baseline
+    // build's.
     k8s_apiserver::reset_decode_cache_stats();
     mutiny_core::campaign::reset_fork_stats();
     let t = Instant::now();
-    let stealing = run_campaign_with_threads(&cluster, &plan, &baselines, seed, threads);
-    let stealing_s = t.elapsed().as_secs_f64();
-    // Fork-the-world counters for exactly the stealing run: how many
+    let _ = run_campaign_with_threads(&cluster, &plan, &baselines, seed, threads);
+    let campaign_s = t.elapsed().as_secs_f64();
+    // Fork-the-world counters for exactly the campaign run: how many
     // golden prefixes were built once vs served from the snapshot cache.
     let (fork_snapshots, fork_hits) = mutiny_core::campaign::fork_stats();
     let fork_hit_rate = if fork_snapshots + fork_hits == 0 {
@@ -88,35 +88,14 @@ fn main() {
     } else {
         dc_hits as f64 / (dc_hits + dc_misses) as f64
     };
-    // Snapshot timelines and phases now: the executor-agreement and
-    // per-experiment-latency legs below re-run the same plan, which would
-    // double-count every experiment in the aggregates.
+    // Snapshot timelines and phases now: the per-experiment-latency leg
+    // below re-runs the same plan, which would double-count every
+    // experiment in the aggregates.
     mutiny_telemetry::flush_thread();
     let detection = mutiny_telemetry::timeline::percentiles_by_family();
     let phases = mutiny_telemetry::profile::snapshot();
 
-    // Measured quantity 2: the same plan on the seed's static-chunk
-    // executor, to keep the scheduling gain visible release over release.
-    // At one worker both executors are the identical serial loop, so the
-    // comparison would only measure run-ordering noise (cold caches and
-    // allocator state favored whichever ran second — the seed's 0.819
-    // "speedup" was exactly that); see crates/bench/README.md. Skip it
-    // and report the true ratio, 1.0.
-    let (static_s, speedup) = if threads > 1 {
-        let t = Instant::now();
-        let chunked = run_campaign_static_chunks(&cluster, &plan, &baselines, seed, threads);
-        let static_s = t.elapsed().as_secs_f64();
-        assert_eq!(stealing.rows, chunked.rows, "executors must agree exactly");
-        (static_s, static_s / stealing_s.max(1e-9))
-    } else {
-        eprintln!(
-            "[campaign-throughput] single worker: executors are the same serial loop; \
-             skipping the static-chunk comparison"
-        );
-        (stealing_s, 1.0)
-    };
-
-    // Measured quantity 3: per-experiment latency distribution, timed
+    // Measured quantity 2: per-experiment latency distribution, timed
     // serially so one experiment's time is not polluted by siblings.
     let sample_every = (plan.len() / 48).max(1);
     let sample: Vec<_> = plan.iter().cloned().step_by(sample_every).collect();
@@ -129,14 +108,9 @@ fn main() {
     }
     per_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
 
-    let experiments_per_sec = plan.len() as f64 / stealing_s.max(1e-9);
-    // The active storage engine and per-family storage-experiment counts:
-    // the trajectory of the storage fault dimension, and which backend
-    // this perf point was measured on.
-    let storage_backend = match cluster.storage {
-        etcd_sim::StorageKind::Mem => "mem",
-        etcd_sim::StorageKind::Log => "log",
-    };
+    let experiments_per_sec = plan.len() as f64 / campaign_s.max(1e-9);
+    // Per-family storage-experiment counts: the trajectory of the
+    // storage fault dimension.
     let storage_counts_json = {
         let mut counts: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
         for p in plan.iter().filter(|p| p.fault.name().starts_with("etcd-")) {
@@ -162,7 +136,7 @@ fn main() {
         .count();
     // Campaign phase breakdown (where wall-clock goes) and per-family
     // detection latency (how fast faults surface in monitoring), both
-    // from the stealing run snapshotted above.
+    // from the campaign run snapshotted above.
     let phases_json = {
         use mutiny_telemetry::profile::ALL;
         let per_phase: Vec<String> = ALL
@@ -190,7 +164,7 @@ fn main() {
         format!("[\n{}\n  ]", rows.join(",\n"))
     };
     let json = format!(
-        "{{\n  \"bench\": \"campaign_throughput\",\n  \"experiments\": {},\n  \"scale\": {scale},\n  \"scenarios\": {},\n  \"scenario_names\": \"{}\",\n  \"trace_scenarios\": {trace_scenarios},\n  \"generated_scenarios\": {generated_scenarios},\n  \"faults\": {},\n  \"fault_names\": \"{}\",\n  \"node_channels\": {node_channels},\n  \"storage_backend\": \"{storage_backend}\",\n  \"storage_experiments\": {storage_counts_json},\n  \"threads\": {threads},\n  \"golden_runs\": {},\n  \"baseline_build_s\": {:.3},\n  \"campaign_wall_s\": {:.3},\n  \"static_chunk_wall_s\": {:.3},\n  \"experiments_per_sec\": {:.3},\n  \"per_experiment_p50_ms\": {:.3},\n  \"per_experiment_p95_ms\": {:.3},\n  \"speedup_vs_static_chunk\": {:.3},\n  \"decode_cache_hits\": {dc_hits},\n  \"decode_cache_misses\": {dc_misses},\n  \"decode_cache_hit_rate\": {:.3},\n  \"fork_snapshots\": {fork_snapshots},\n  \"fork_hit_rate\": {fork_hit_rate:.3},\n  \"phases\": {phases_json},\n  \"detection_latency\": {detection_json},\n  \"rows_identical_across_executors\": true\n}}\n",
+        "{{\n  \"bench\": \"campaign_throughput\",\n  \"experiments\": {},\n  \"scale\": {scale},\n  \"scenarios\": {},\n  \"scenario_names\": \"{}\",\n  \"trace_scenarios\": {trace_scenarios},\n  \"generated_scenarios\": {generated_scenarios},\n  \"faults\": {},\n  \"fault_names\": \"{}\",\n  \"node_channels\": {node_channels},\n  \"storage_experiments\": {storage_counts_json},\n  \"threads\": {threads},\n  \"golden_runs\": {},\n  \"baseline_build_s\": {:.3},\n  \"campaign_wall_s\": {:.3},\n  \"experiments_per_sec\": {:.3},\n  \"per_experiment_p50_ms\": {:.3},\n  \"per_experiment_p95_ms\": {:.3},\n  \"decode_cache_hits\": {dc_hits},\n  \"decode_cache_misses\": {dc_misses},\n  \"decode_cache_hit_rate\": {:.3},\n  \"fork_snapshots\": {fork_snapshots},\n  \"fork_hit_rate\": {fork_hit_rate:.3},\n  \"phases\": {phases_json},\n  \"detection_latency\": {detection_json}\n}}\n",
         plan.len(),
         scenario_names.len(),
         scenario_names.join(","),
@@ -198,12 +172,10 @@ fn main() {
         fault_names.join(","),
         mutiny_bench::golden_runs(),
         baseline_s,
-        stealing_s,
-        static_s,
+        campaign_s,
         experiments_per_sec,
         percentile(&per_ms, 0.50),
         percentile(&per_ms, 0.95),
-        speedup,
         dc_hit_rate,
     );
 

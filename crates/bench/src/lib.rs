@@ -279,14 +279,6 @@ pub fn cache_path() -> PathBuf {
     } else {
         ""
     };
-    // The log-structured storage engine must produce byte-identical
-    // rows, but its TSV still gets its own cache identity so
-    // `scripts/verify.sh` can diff a `MUTINY_STORAGE=log` run against
-    // the `mem` TSV without either run reusing the other's cached rows.
-    let storage = match etcd_sim::StorageKind::from_env() {
-        etcd_sim::StorageKind::Mem => "",
-        etcd_sim::StorageKind::Log => "_log",
-    };
     // Shards write disjoint row subsets: each residue class gets its own
     // cache (and checkpoint) identity so shards can run concurrently and
     // `merge_shard_texts` can reassemble the unsharded TSV.
@@ -295,14 +287,13 @@ pub fn cache_path() -> PathBuf {
         None => String::new(),
     };
     cache_dir().join(format!(
-        "mutiny_campaign_s{:.2}_g{}_seed{}_sc{}_f{}_{:08x}{}{}{}{}.tsv",
+        "mutiny_campaign_s{:.2}_g{}_seed{}_sc{}_f{}_{:08x}{}{}{}.tsv",
         scale(),
         golden_runs(),
         seed(),
         scenario_names.len(),
         fault_names.len(),
         h & 0xffff_ffff,
-        storage,
         nodc,
         nofork,
         shard_tag,

@@ -105,9 +105,8 @@ pub struct ClusterConfig {
     pub etcd_replicas: usize,
     /// etcd disk budget — fills up under uncontrolled replication.
     pub etcd_capacity_bytes: u64,
-    /// Storage engine backing etcd (defaults from `MUTINY_STORAGE`; part
-    /// of the config — and of the fork-snapshot cache key via `Debug` —
-    /// so one process can run both engines deterministically).
+    /// Storage engine backing etcd. It has one value; the field stays
+    /// only because `perfbench/src/workloads.rs` sets it.
     pub storage: etcd_sim::StorageKind,
     /// Per-node allocatable CPU (millicores).
     pub worker_cpu_milli: i64,
@@ -144,7 +143,7 @@ impl Default for ClusterConfig {
             workers: 4,
             etcd_replicas: 1,
             etcd_capacity_bytes: 2 * 1024 * 1024,
-            storage: etcd_sim::StorageKind::from_env(),
+            storage: etcd_sim::StorageKind::Mem,
             worker_cpu_milli: 8_000,
             worker_memory_mb: 4_096,
             kcm: KcmConfig::default(),
@@ -242,8 +241,7 @@ impl World {
         trace.borrow_mut().store_debug = false;
         let root_rng = Rng::new(cfg.seed);
 
-        let etcd =
-            etcd_sim::Etcd::with_backend(cfg.storage, cfg.etcd_replicas, cfg.etcd_capacity_bytes);
+        let etcd = etcd_sim::Etcd::new(cfg.etcd_replicas, cfg.etcd_capacity_bytes);
         let mut api = ApiServer::new(etcd, interceptor, Rc::clone(&trace));
         if cfg.mitigations.integrity {
             api.install_integrity(Rc::new(CriticalFieldSealer::default()));

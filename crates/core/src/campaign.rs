@@ -778,22 +778,6 @@ pub fn scenario_world_seed(base_seed: u64, scenario: Scenario) -> u64 {
     h ^ base_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-/// Runs one planned experiment with the campaign's per-scenario seed and
-/// produces the finished row.
-///
-/// # Errors
-///
-/// [`CampaignError::MissingBaseline`] when `baselines` has no entry for
-/// the planned scenario.
-fn run_planned(
-    cluster: &ClusterConfig,
-    planned: &PlannedExperiment,
-    baselines: &std::collections::HashMap<Scenario, Baseline>,
-    base_seed: u64,
-) -> Result<CampaignRow, CampaignError> {
-    run_planned_with_fork(cluster, planned, baselines, base_seed, fork_enabled())
-}
-
 /// Folds per-experiment results into rows, warning once per distinct
 /// error instead of once per affected row (a missing baseline hits every
 /// row of its scenario).
@@ -897,7 +881,13 @@ pub fn run_campaign_range_with_fork(
     collect_rows(results)
 }
 
-/// [`run_planned`] with the execution mode pinned.
+/// Runs one planned experiment with the campaign's per-scenario seed
+/// and the execution mode pinned, and produces the finished row.
+///
+/// # Errors
+///
+/// [`CampaignError::MissingBaseline`] when `baselines` has no entry for
+/// the planned scenario.
 fn run_planned_with_fork(
     cluster: &ClusterConfig,
     planned: &PlannedExperiment,
@@ -930,22 +920,6 @@ fn run_planned_with_fork(
         activated: outcome.activated,
         user_error: outcome.user_saw_error,
     })
-}
-
-/// The seed's static-chunk executor over the same per-index experiment
-/// function. Kept so the throughput bench can quantify the work-stealing
-/// gain; produces identical rows, only slower under load imbalance.
-pub fn run_campaign_static_chunks(
-    cluster: &ClusterConfig,
-    plan: &[PlannedExperiment],
-    baselines: &std::collections::HashMap<Scenario, Baseline>,
-    base_seed: u64,
-    threads: usize,
-) -> CampaignResults {
-    let results = crate::exec::run_chunked(plan.len(), threads, |i| {
-        run_planned(cluster, &plan[i], baselines, base_seed)
-    });
-    collect_rows(results)
 }
 
 #[cfg(test)]

@@ -3,13 +3,12 @@
 //! A campaign is thousands of independent experiments with wildly varying
 //! cost (a Drop on occurrence 10 simulates much further than a field flip
 //! that kills the workload early, and the three workloads have different
-//! horizons). The seed's static-chunk split handed each thread one
-//! contiguous slice of the plan, so a thread that drew a cheap slice idled
-//! while a straggler thread worked through an expensive one. Here workers
-//! pull the next index from a shared atomic counter instead: no thread is
-//! ever idle while work remains, and because each result lands at its plan
-//! index and every experiment derives its seed from that index, the output
-//! is byte-identical to a serial run regardless of interleaving.
+//! horizons). Workers pull the next index from a shared atomic counter,
+//! so no thread is ever idle while work remains. Each result lands at its
+//! plan index, and every experiment derives its world seed from
+//! `campaign::scenario_world_seed` (scenario + campaign seed), never from
+//! its position or worker, so the output is byte-identical to a serial
+//! run regardless of interleaving.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -30,8 +29,10 @@ pub fn default_threads(n: usize) -> usize {
 /// Runs `f(0..n)` on `threads` workers stealing indices from a shared
 /// counter; `out[i] == f(i)`, exactly as a serial run would produce.
 ///
-/// `f` must be deterministic in its index (the campaign derives every
-/// experiment seed from the plan index, so this holds by construction).
+/// `f` must be deterministic in its index. The campaign's `f` runs the
+/// planned experiment at that index with the seed from
+/// `campaign::scenario_world_seed` (scenario + campaign seed), so this
+/// holds by construction.
 pub fn run_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -76,48 +77,6 @@ where
     out.into_iter().map(|o| o.expect("every index executed")).collect()
 }
 
-/// The seed's static-chunk split, kept for the throughput bench so the
-/// work-stealing gain stays measurable release over release. Produces the
-/// same results as [`run_indexed`] (both are index-deterministic), only
-/// slower under imbalance.
-pub fn run_chunked<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.max(1).min(n.max(1));
-    if threads == 1 || n <= 1 {
-        let out = (0..n).map(f).collect();
-        mutiny_telemetry::flush_thread();
-        return out;
-    }
-    let chunk = n.div_ceil(threads);
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = (lo + chunk).min(n);
-            if lo >= hi {
-                break;
-            }
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let vals = (lo..hi).map(f).collect::<Vec<T>>();
-                mutiny_telemetry::flush_thread();
-                (lo, vals)
-            }));
-        }
-        for h in handles {
-            let (lo, vals) = h.join().expect("executor worker panicked");
-            for (off, v) in vals.into_iter().enumerate() {
-                out[lo + off] = Some(v);
-            }
-        }
-    });
-    out.into_iter().map(|o| o.expect("every index executed")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,16 +86,6 @@ mod tests {
         for threads in [1, 2, 3, 8] {
             let out = run_indexed(37, threads, |i| i * i);
             assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn chunked_matches_stealing() {
-        for threads in [1, 2, 5] {
-            assert_eq!(
-                run_chunked(23, threads, |i| i as u64 * 3),
-                run_indexed(23, threads, |i| i as u64 * 3),
-            );
         }
     }
 

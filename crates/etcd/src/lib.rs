@@ -22,44 +22,31 @@
 //! `range` and watch replay hand out refcounted views instead of copying
 //! payloads — the store is zero-copy on the campaign's hot path.
 //!
-//! ## The storage seam
+//! ## Front-end and store
 //!
 //! [`Etcd`] is a *front-end*: the disk budget, write rejection, the
-//! inconsistent-view fault overlay and telemetry live here, while the
-//! actual engine sits behind the [`StorageBackend`] trait. Two engines
-//! ship — the default in-memory [`MemBackend`] and the log-structured
-//! [`LogBackend`] (append-only segments + in-memory index + explicit
-//! compaction) — selected campaign-wide by `MUTINY_STORAGE=mem|log`
-//! ([`StorageKind::from_env`]). Both engines produce byte-identical
-//! campaign TSVs (pinned by `tests/storage_determinism.rs`); only
-//! invisible mechanics (segment layout, physical bytes, telemetry
-//! counters) may differ. Third-party engines plug in through
-//! [`Etcd::from_backend`] — `crates/etcd/README.md` has a worked
-//! example.
+//! inconsistent-view fault overlay and telemetry live here, over one
+//! in-memory replicated map store. Cloning an [`Etcd`] is a
+//! copy-on-write snapshot (refcount bumps), which keeps `World::fork`
+//! cheap.
 //!
 //! ```
-//! use etcd_sim::{Etcd, StorageKind};
+//! use etcd_sim::Etcd;
 //!
-//! for kind in [StorageKind::Mem, StorageKind::Log] {
-//!     let mut etcd = Etcd::with_backend(kind, 1, 64 * 1024);
-//!     let rev = etcd.put("/registry/pods/default/web-0", b"pod-bytes".to_vec()).unwrap();
-//!     let (bytes, mod_rev) = etcd.get("/registry/pods/default/web-0").unwrap();
-//!     assert_eq!(&bytes[..], b"pod-bytes");
-//!     assert_eq!(mod_rev, rev);
-//! }
+//! let mut etcd = Etcd::new(1, 64 * 1024);
+//! let rev = etcd.put("/registry/pods/default/web-0", b"pod-bytes".to_vec()).unwrap();
+//! let (bytes, mod_rev) = etcd.get("/registry/pods/default/web-0").unwrap();
+//! assert_eq!(&bytes[..], b"pod-bytes");
+//! assert_eq!(mod_rev, rev);
 //! ```
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-pub mod backend;
-mod log;
 mod mem;
 
-pub use backend::StorageBackend;
-pub use log::{LogBackend, SEGMENT_TARGET};
-pub use mem::MemBackend;
+use mem::MemStore;
 
 /// A stored value: immutable, refcounted, shared between replicas, the
 /// watch log, and readers without copying.
@@ -102,62 +89,14 @@ pub struct WatchEvent {
 /// How many watch events are retained before compaction.
 pub const WATCH_LOG_RETENTION: usize = 200_000;
 
-/// Environment variable selecting the storage engine (`mem` | `log`).
-/// Read once per process ([`StorageKind::from_env`]); like
-/// `MUTINY_DECODE_CACHE` it is a documented exception to the
-/// "simulation never reads the environment" rule, safe because both
-/// engines are observably identical.
-pub const STORAGE_ENV: &str = "MUTINY_STORAGE";
-
-/// Which storage engine backs the store.
+/// The storage engine behind the store. There is one; the enum stays
+/// only because `perfbench/src/workloads.rs` names
+/// `StorageKind::Mem` in its `ClusterConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageKind {
-    /// Per-replica in-memory maps ([`MemBackend`], the default).
+    /// Per-replica in-memory maps.
     #[default]
     Mem,
-    /// Append-only segment log + in-memory index ([`LogBackend`]).
-    Log,
-}
-
-impl StorageKind {
-    /// The engine name as spelled in `MUTINY_STORAGE`.
-    pub fn name(self) -> &'static str {
-        match self {
-            StorageKind::Mem => "mem",
-            StorageKind::Log => "log",
-        }
-    }
-
-    /// Parses an engine name (`"mem"` / `"log"`).
-    pub fn parse(s: &str) -> Option<StorageKind> {
-        match s {
-            "mem" => Some(StorageKind::Mem),
-            "log" => Some(StorageKind::Log),
-            _ => None,
-        }
-    }
-
-    /// The engine selected by [`STORAGE_ENV`], cached on first read.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown value — a typo must not silently run the
-    /// wrong engine.
-    pub fn from_env() -> StorageKind {
-        static KIND: std::sync::OnceLock<StorageKind> = std::sync::OnceLock::new();
-        *KIND.get_or_init(|| match std::env::var(STORAGE_ENV) {
-            Ok(v) => StorageKind::parse(&v).unwrap_or_else(|| {
-                panic!("unknown {STORAGE_ENV} value `{v}` (expected `mem` or `log`)")
-            }),
-            Err(_) => StorageKind::Mem,
-        })
-    }
-}
-
-impl fmt::Display for StorageKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// A frozen per-replica view served while an inconsistent-view fault is
@@ -169,67 +108,33 @@ struct StaleView {
 }
 
 /// The replicated data store front-end used by the apiserver: budget
-/// policy and fault overlays over a pluggable [`StorageBackend`].
-#[derive(Debug)]
+/// policy and fault overlays over the replicated map store. `Clone` is
+/// a copy-on-write snapshot — this is what keeps `World::fork` /
+/// `ApiServer::fork` refcount-cheap.
+#[derive(Debug, Clone)]
 pub struct Etcd {
-    backend: Box<dyn StorageBackend>,
+    store: MemStore,
     capacity_bytes: u64,
     /// The real budget while a disk-full fault window holds `capacity_bytes`
     /// clamped down ([`Etcd::clamp_disk_budget`]).
     saved_capacity: Option<u64>,
     writes_rejected: u64,
     /// While `Some`, quorum reads serve this stale snapshot instead of
-    /// the backend — different readers of the same revision see
+    /// the store — different readers of the same revision see
     /// different bytes (arXiv:1904.06206).
     stale_view: Option<StaleView>,
 }
 
-impl Clone for Etcd {
-    /// Cloning forks the backend copy-on-write — this is what keeps
-    /// `World::fork` / `ApiServer::fork` refcount-cheap on both engines.
-    fn clone(&self) -> Etcd {
-        Etcd {
-            backend: self.backend.fork(),
-            capacity_bytes: self.capacity_bytes,
-            saved_capacity: self.saved_capacity,
-            writes_rejected: self.writes_rejected,
-            stale_view: self.stale_view.clone(),
-        }
-    }
-}
-
 impl Etcd {
     /// Creates a store with `replicas` replicas (≥ 1) and a per-replica
-    /// disk budget of `capacity_bytes`, on the default in-memory engine.
+    /// disk budget of `capacity_bytes`.
     ///
     /// # Panics
     ///
     /// Panics if `replicas == 0`.
     pub fn new(replicas: usize, capacity_bytes: u64) -> Etcd {
-        Etcd::with_backend(StorageKind::Mem, replicas, capacity_bytes)
-    }
-
-    /// Creates a store on the given engine kind. Campaign worlds pass
-    /// `ClusterConfig::storage` here so the engine is part of the
-    /// config (and of the fork-snapshot cache key), never re-read from
-    /// the environment mid-run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas == 0`.
-    pub fn with_backend(kind: StorageKind, replicas: usize, capacity_bytes: u64) -> Etcd {
-        let backend: Box<dyn StorageBackend> = match kind {
-            StorageKind::Mem => Box::new(MemBackend::new(replicas)),
-            StorageKind::Log => Box::new(LogBackend::new(replicas)),
-        };
-        Etcd::from_backend(backend, capacity_bytes)
-    }
-
-    /// Wraps an arbitrary engine (the third-party extension point; see
-    /// `crates/etcd/README.md` for a worked implementation).
-    pub fn from_backend(backend: Box<dyn StorageBackend>, capacity_bytes: u64) -> Etcd {
         Etcd {
-            backend,
+            store: MemStore::new(replicas),
             capacity_bytes,
             saved_capacity: None,
             writes_rejected: 0,
@@ -237,31 +142,20 @@ impl Etcd {
         }
     }
 
-    /// The active engine's name (`"mem"`, `"log"`, …).
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
     /// Number of replicas.
     pub fn replica_count(&self) -> usize {
-        self.backend.replica_count()
+        self.store.replica_count()
     }
 
     /// Current global revision.
     pub fn revision(&self) -> u64 {
-        self.backend.revision()
+        self.store.revision()
     }
 
-    /// Logical live bytes stored on the leader replica (the disk-budget
-    /// basis, identical across engines).
+    /// Live bytes (`key.len() + value.len()`) stored on the leader
+    /// replica — the disk-budget basis.
     pub fn disk_used(&self) -> u64 {
-        self.backend.disk_used()
-    }
-
-    /// Engine-specific physical footprint (log garbage included); equals
-    /// [`Etcd::disk_used`] on the in-memory engine.
-    pub fn physical_bytes(&self) -> u64 {
-        self.backend.physical_bytes()
+        self.store.disk_used()
     }
 
     /// True once the disk budget is exhausted (writes are being rejected).
@@ -285,17 +179,12 @@ impl Etcd {
 
     /// Number of keys stored.
     pub fn object_count(&self) -> usize {
-        self.backend.object_count()
+        self.store.object_count()
     }
 
-    /// Storage segments the engine keeps on disk (`0` for `mem`).
-    pub fn segments(&self) -> u64 {
-        self.backend.segments()
-    }
-
-    /// Compactions the engine has performed (explicit and background).
+    /// Explicit compactions performed so far.
     pub fn compactions(&self) -> u64 {
-        self.backend.compactions()
+        self.store.compactions()
     }
 
     /// Commits a write to every replica (post-consensus, so all replicas
@@ -310,13 +199,13 @@ impl Etcd {
     pub fn put(&mut self, key: &str, bytes: impl Into<Bytes>) -> Result<u64, EtcdError> {
         let bytes: Bytes = bytes.into();
         let grow = bytes.len() as u64 + key.len() as u64;
-        let existing = self.backend.live_size(key);
+        let existing = self.store.live_size(key);
         if self.disk_used() + grow.saturating_sub(existing) > self.capacity_bytes {
             self.writes_rejected = self.writes_rejected.saturating_add(1);
             mutiny_telemetry::counter_add("etcd.writes_rejected", 1);
             return Err(EtcdError::DiskFull);
         }
-        let rev = self.backend.commit(key, bytes);
+        let rev = self.store.commit(key, bytes);
         mutiny_telemetry::gauge_set("etcd.revision", rev);
         mutiny_telemetry::gauge_max("etcd.store_bytes_hw", self.disk_used());
         Ok(rev)
@@ -325,7 +214,7 @@ impl Etcd {
     /// Deletes a key from every replica. Returns the deletion revision, or
     /// `None` when the key did not exist.
     pub fn delete(&mut self, key: &str) -> Option<u64> {
-        self.backend.delete(key)
+        self.store.delete(key)
     }
 
     /// Quorum read: per-replica values are majority-voted, masking
@@ -342,7 +231,7 @@ impl Etcd {
         if let Some(sv) = &self.stale_view {
             return sv.data.get(key).map(|(b, rev)| (b.clone(), *rev));
         }
-        self.backend.get(key)
+        self.store.get(key)
     }
 
     /// Quorum range read over a key prefix, in key order. Values are
@@ -357,7 +246,7 @@ impl Etcd {
                 .map(|(k, (b, rev))| (k.clone(), b.clone(), *rev))
                 .collect();
         }
-        self.backend.range(prefix)
+        self.store.range(prefix)
     }
 
     /// Returns watch events with log index ≥ `cursor` plus the next cursor.
@@ -369,7 +258,7 @@ impl Etcd {
     ///
     /// [`EtcdError::Compacted`] when `cursor` precedes the retention window.
     pub fn events_since(&self, cursor: u64) -> Result<(Vec<WatchEvent>, u64), EtcdError> {
-        self.backend.events_since(cursor)
+        self.store.events_since(cursor)
     }
 
     /// Returns watch events that committed at a revision > `revision`,
@@ -387,28 +276,20 @@ impl Etcd {
         &self,
         revision: u64,
     ) -> Result<(Vec<WatchEvent>, u64), EtcdError> {
-        self.backend.events_after_revision(revision)
+        self.store.events_after_revision(revision)
     }
 
     /// Log index one past the newest event (initial cursor for watchers).
     pub fn event_head(&self) -> u64 {
-        self.backend.event_head()
+        self.store.event_head()
     }
 
     /// Explicit compaction: lagging watch cursors are invalidated
-    /// (subsequent replays return [`EtcdError::Compacted`]) and the
-    /// engine reclaims storage garbage. The compaction-pressure fault
-    /// family drives this; store contents and revisions are untouched.
+    /// (subsequent replays return [`EtcdError::Compacted`]). The
+    /// compaction-pressure fault family drives this; store contents and
+    /// revisions are untouched.
     pub fn compact(&mut self) {
-        self.backend.compact();
-    }
-
-    /// Crash recovery: the engine rebuilds its in-memory state from
-    /// durable storage (the log engine replays its segments). Called by
-    /// `ApiServer::restart` before the watch cache re-lists, so a
-    /// crash-restart recovers *from the backend*, not from memory.
-    pub fn recover(&mut self) {
-        self.backend.recover();
+        self.store.compact();
     }
 
     /// Clamps the disk budget down to the bytes already used, so any
@@ -435,7 +316,7 @@ impl Etcd {
     ///
     /// Returns `false` when the replica or key does not exist.
     pub fn corrupt_at_rest(&mut self, replica: usize, key: &str, bytes: impl Into<Bytes>) -> bool {
-        self.backend.corrupt_at_rest(replica, key, bytes.into())
+        self.store.corrupt_at_rest(replica, key, bytes.into())
     }
 
     /// Corrupts the `nth` live key (modulo the key count) on `replica`
@@ -448,20 +329,20 @@ impl Etcd {
             return false;
         }
         let replica = replica % self.replica_count();
-        let Some(key) = self.backend.nth_key(nth % count) else {
+        let Some(key) = self.store.nth_key(nth % count) else {
             return false;
         };
-        let Some((bytes, _)) = self.backend.get_unquorum(replica, &key) else {
+        let Some((bytes, _)) = self.store.get_unquorum(replica, &key) else {
             return false;
         };
         let flipped: Vec<u8> = bytes.iter().map(|b| !b).collect();
-        self.backend.corrupt_at_rest(replica, &key, flipped.into())
+        self.store.corrupt_at_rest(replica, &key, flipped.into())
     }
 
     /// Reads a single replica without quorum (models a client that talks
     /// to one replica directly, bypassing linearizable reads).
     pub fn get_unquorum(&self, replica: usize, key: &str) -> Option<(Bytes, u64)> {
-        self.backend.get_unquorum(replica, key)
+        self.store.get_unquorum(replica, key)
     }
 
     /// Starts an inconsistent-view fault (arXiv:1904.06206): quorum
@@ -472,8 +353,8 @@ impl Etcd {
     pub fn begin_inconsistent_view(&mut self, replica: usize) {
         let replica = replica % self.replica_count();
         let mut data = BTreeMap::new();
-        for (key, _, _) in self.backend.range("") {
-            if let Some((bytes, rev)) = self.backend.get_unquorum(replica, &key) {
+        for (key, _, _) in self.store.range("") {
+            if let Some((bytes, rev)) = self.store.get_unquorum(replica, &key) {
                 data.insert(key, (bytes, rev));
             }
         }
@@ -495,117 +376,102 @@ impl Etcd {
 mod tests {
     use super::*;
 
-    /// Runs a check against a store on each engine; the observable
-    /// contract is engine-independent.
-    fn on_both(capacity: u64, replicas: usize, check: impl Fn(Etcd)) {
-        for kind in [StorageKind::Mem, StorageKind::Log] {
-            check(Etcd::with_backend(kind, replicas, capacity));
-        }
-    }
-
     #[test]
     fn put_get_roundtrip_and_revisions() {
-        on_both(4096, 1, |mut e| {
-            let r1 = e.put("/a", vec![1]).unwrap();
-            let r2 = e.put("/b", vec![2]).unwrap();
-            assert!(r2 > r1);
-            assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![1]);
-            let r3 = e.put("/a", vec![9]).unwrap();
-            let (bytes, rev) = e.get("/a").unwrap();
-            assert_eq!(bytes.to_vec(), vec![9]);
-            assert_eq!(rev, r3);
-            assert_eq!(e.revision(), 3);
-        });
+        let mut e = Etcd::new(1, 4096);
+        let r1 = e.put("/a", vec![1]).unwrap();
+        let r2 = e.put("/b", vec![2]).unwrap();
+        assert!(r2 > r1);
+        assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![1]);
+        let r3 = e.put("/a", vec![9]).unwrap();
+        let (bytes, rev) = e.get("/a").unwrap();
+        assert_eq!(bytes.to_vec(), vec![9]);
+        assert_eq!(rev, r3);
+        assert_eq!(e.revision(), 3);
     }
 
     #[test]
     fn delete_and_missing() {
-        on_both(4096, 1, |mut e| {
-            e.put("/a", vec![1]).unwrap();
-            assert!(e.delete("/a").is_some());
-            assert!(e.get("/a").is_none());
-            assert!(e.delete("/a").is_none());
-        });
+        let mut e = Etcd::new(1, 4096);
+        e.put("/a", vec![1]).unwrap();
+        assert!(e.delete("/a").is_some());
+        assert!(e.get("/a").is_none());
+        assert!(e.delete("/a").is_none());
     }
 
     #[test]
     fn range_is_prefix_scoped_and_ordered() {
-        on_both(4096, 1, |mut e| {
-            e.put("/registry/pods/default/b", vec![2]).unwrap();
-            e.put("/registry/pods/default/a", vec![1]).unwrap();
-            e.put("/registry/pods/kube-system/c", vec![3]).unwrap();
-            e.put("/registry/services/default/s", vec![4]).unwrap();
-            let r = e.range("/registry/pods/default/");
-            let keys: Vec<&str> = r.iter().map(|(k, _, _)| k.as_str()).collect();
-            assert_eq!(keys, vec!["/registry/pods/default/a", "/registry/pods/default/b"]);
-        });
+        let mut e = Etcd::new(1, 4096);
+        e.put("/registry/pods/default/b", vec![2]).unwrap();
+        e.put("/registry/pods/default/a", vec![1]).unwrap();
+        e.put("/registry/pods/kube-system/c", vec![3]).unwrap();
+        e.put("/registry/services/default/s", vec![4]).unwrap();
+        let r = e.range("/registry/pods/default/");
+        let keys: Vec<&str> = r.iter().map(|(k, _, _)| k.as_str()).collect();
+        assert_eq!(keys, vec!["/registry/pods/default/a", "/registry/pods/default/b"]);
     }
 
     #[test]
     fn watch_events_stream_in_order() {
-        on_both(4096, 1, |mut e| {
-            let c0 = e.event_head();
-            e.put("/a", vec![1]).unwrap();
-            e.delete("/a");
-            let (evs, next) = e.events_since(c0).unwrap();
-            assert_eq!(evs.len(), 2);
-            assert_eq!(evs[0].value.as_deref(), Some(&[1u8][..]));
-            assert_eq!(evs[1].value, None);
-            let (evs2, _) = e.events_since(next).unwrap();
-            assert!(evs2.is_empty());
-        });
+        let mut e = Etcd::new(1, 4096);
+        let c0 = e.event_head();
+        e.put("/a", vec![1]).unwrap();
+        e.delete("/a");
+        let (evs, next) = e.events_since(c0).unwrap();
+        assert_eq!(evs.len(), 2);
+        assert_eq!(evs[0].value.as_deref(), Some(&[1u8][..]));
+        assert_eq!(evs[1].value, None);
+        let (evs2, _) = e.events_since(next).unwrap();
+        assert!(evs2.is_empty());
     }
 
     #[test]
     fn revision_indexed_replay_returns_only_the_tail() {
-        on_both(4096, 1, |mut e| {
-            e.put("/a", vec![1]).unwrap(); // rev 1
-            e.put("/b", vec![2]).unwrap(); // rev 2
-            e.delete("/a"); // rev 3
-            let (evs, resume) = e.events_after_revision(1).unwrap();
-            assert_eq!(evs.len(), 2);
-            assert_eq!(evs[0].revision, 2);
-            assert_eq!(evs[1].revision, 3);
-            assert_eq!(resume, e.revision());
-            let (all, _) = e.events_after_revision(0).unwrap();
-            assert_eq!(all.len(), 3);
-            let (none, _) = e.events_after_revision(3).unwrap();
-            assert!(none.is_empty());
-        });
+        let mut e = Etcd::new(1, 4096);
+        e.put("/a", vec![1]).unwrap(); // rev 1
+        e.put("/b", vec![2]).unwrap(); // rev 2
+        e.delete("/a"); // rev 3
+        let (evs, resume) = e.events_after_revision(1).unwrap();
+        assert_eq!(evs.len(), 2);
+        assert_eq!(evs[0].revision, 2);
+        assert_eq!(evs[1].revision, 3);
+        assert_eq!(resume, e.revision());
+        let (all, _) = e.events_after_revision(0).unwrap();
+        assert_eq!(all.len(), 3);
+        let (none, _) = e.events_after_revision(3).unwrap();
+        assert!(none.is_empty());
     }
 
     #[test]
     fn replay_and_reads_share_the_stored_allocation() {
         // The zero-copy property: quorum reads and watch replay hand out
-        // the same Arc the committed write produced — on both engines.
-        on_both(4096, 3, |mut e| {
-            e.put("/a", vec![9; 64]).unwrap();
-            let (stored, _) = e.get("/a").unwrap();
-            let (evs, _) = e.events_since(0).unwrap();
-            let replayed = evs[0].value.clone().unwrap();
-            assert!(Arc::ptr_eq(&stored, &replayed), "payload was copied, not shared");
-            let (direct, _) = e.get_unquorum(2, "/a").unwrap();
-            assert!(Arc::ptr_eq(&stored, &direct));
-        });
+        // the same Arc the committed write produced.
+        let mut e = Etcd::new(3, 4096);
+        e.put("/a", vec![9; 64]).unwrap();
+        let (stored, _) = e.get("/a").unwrap();
+        let (evs, _) = e.events_since(0).unwrap();
+        let replayed = evs[0].value.clone().unwrap();
+        assert!(Arc::ptr_eq(&stored, &replayed), "payload was copied, not shared");
+        let (direct, _) = e.get_unquorum(2, "/a").unwrap();
+        assert!(Arc::ptr_eq(&stored, &direct));
     }
 
     #[test]
     fn disk_fill_stalls_writes() {
-        on_both(64, 1, |mut e| {
-            let mut wrote = 0;
-            loop {
-                match e.put(&format!("/k{wrote}"), vec![0u8; 16]) {
-                    Ok(_) => wrote += 1,
-                    Err(EtcdError::DiskFull) => break,
-                    Err(other) => panic!("unexpected: {other}"),
-                }
-                assert!(wrote < 100, "disk never filled");
+        let mut e = Etcd::new(1, 64);
+        let mut wrote = 0;
+        loop {
+            match e.put(&format!("/k{wrote}"), vec![0u8; 16]) {
+                Ok(_) => wrote += 1,
+                Err(EtcdError::DiskFull) => break,
+                Err(other) => panic!("unexpected: {other}"),
             }
-            assert!(e.is_stalled() || e.writes_rejected() > 0);
-            assert!(e.is_degraded());
-            // Updating an existing key to a smaller value still works.
-            assert!(e.put("/k0", vec![0u8; 1]).is_ok());
-        });
+            assert!(wrote < 100, "disk never filled");
+        }
+        assert!(e.is_stalled() || e.writes_rejected() > 0);
+        assert!(e.is_degraded());
+        // Updating an existing key to a smaller value still works.
+        assert!(e.put("/k0", vec![0u8; 1]).is_ok());
     }
 
     #[test]
@@ -614,58 +480,53 @@ mod tests {
         // path: same hit/miss results, shared (not copied) payloads, and
         // at-rest corruption visible (a 1-replica store has no quorum to
         // mask it — same answer the vote would give).
-        on_both(4096, 1, |mut e| {
-            assert!(e.get("/missing").is_none());
-            let rev = e.put("/a", vec![5, 6]).unwrap();
-            let (bytes, mod_rev) = e.get("/a").unwrap();
-            assert_eq!((bytes.to_vec(), mod_rev), (vec![5, 6], rev));
-            let (direct, _) = e.get_unquorum(0, "/a").unwrap();
-            assert!(Arc::ptr_eq(&bytes, &direct), "fast path must not copy");
-            e.corrupt_at_rest(0, "/a", vec![9]);
-            assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![9]);
-        });
+        let mut e = Etcd::new(1, 4096);
+        assert!(e.get("/missing").is_none());
+        let rev = e.put("/a", vec![5, 6]).unwrap();
+        let (bytes, mod_rev) = e.get("/a").unwrap();
+        assert_eq!((bytes.to_vec(), mod_rev), (vec![5, 6], rev));
+        let (direct, _) = e.get_unquorum(0, "/a").unwrap();
+        assert!(Arc::ptr_eq(&bytes, &direct), "fast path must not copy");
+        e.corrupt_at_rest(0, "/a", vec![9]);
+        assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![9]);
     }
 
     #[test]
     fn quorum_masks_single_replica_at_rest_corruption() {
-        on_both(4096, 3, |mut e| {
-            e.put("/a", vec![7, 7, 7]).unwrap();
-            assert!(e.corrupt_at_rest(1, "/a", vec![0, 0, 0]));
-            // Quorum read returns the uncorrupted majority value.
-            assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![7, 7, 7]);
-            // Direct unquorum read of the corrupted replica sees the bad value.
-            assert_eq!(e.get_unquorum(1, "/a").unwrap().0.to_vec(), vec![0, 0, 0]);
-        });
+        let mut e = Etcd::new(3, 4096);
+        e.put("/a", vec![7, 7, 7]).unwrap();
+        assert!(e.corrupt_at_rest(1, "/a", vec![0, 0, 0]));
+        // Quorum read returns the uncorrupted majority value.
+        assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![7, 7, 7]);
+        // Direct unquorum read of the corrupted replica sees the bad value.
+        assert_eq!(e.get_unquorum(1, "/a").unwrap().0.to_vec(), vec![0, 0, 0]);
     }
 
     #[test]
     fn in_flight_corruption_reaches_all_replicas() {
         // The §V-C1 result: injections before consensus are NOT masked.
-        on_both(4096, 3, |mut e| {
-            e.put("/a", vec![0xBA, 0xD0]).unwrap(); // already-faulty value
-            for i in 0..3 {
-                assert_eq!(e.get_unquorum(i, "/a").unwrap().0.to_vec(), vec![0xBA, 0xD0]);
-            }
-            assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![0xBA, 0xD0]);
-        });
+        let mut e = Etcd::new(3, 4096);
+        e.put("/a", vec![0xBA, 0xD0]).unwrap(); // already-faulty value
+        for i in 0..3 {
+            assert_eq!(e.get_unquorum(i, "/a").unwrap().0.to_vec(), vec![0xBA, 0xD0]);
+        }
+        assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![0xBA, 0xD0]);
     }
 
     #[test]
     fn at_rest_corruption_emits_no_watch_event() {
-        on_both(4096, 1, |mut e| {
-            e.put("/a", vec![1]).unwrap();
-            let head = e.event_head();
-            e.corrupt_at_rest(0, "/a", vec![2]);
-            assert_eq!(e.event_head(), head);
-            assert_eq!(e.revision(), 1);
-        });
+        let mut e = Etcd::new(1, 4096);
+        e.put("/a", vec![1]).unwrap();
+        let head = e.event_head();
+        e.corrupt_at_rest(0, "/a", vec![2]);
+        assert_eq!(e.event_head(), head);
+        assert_eq!(e.revision(), 1);
     }
 
     #[test]
     fn compaction_forces_relist() {
-        // Retention-overflow compaction; slow (fills the whole watch
-        // log), so run it on the mem engine only — the log is shared
-        // machinery and the explicit-compaction test covers both.
+        // Retention-overflow compaction: filling the whole watch log
+        // pushes the oldest events out.
         let mut e = Etcd::new(1, u64::MAX);
         for i in 0..(WATCH_LOG_RETENTION + 10) {
             e.put(&format!("/k{}", i % 7), vec![1]).unwrap();
@@ -679,29 +540,28 @@ mod tests {
 
     #[test]
     fn explicit_compaction_invalidates_lagging_cursors() {
-        on_both(4096, 1, |mut e| {
-            e.put("/a", vec![1]).unwrap();
-            e.put("/b", vec![2]).unwrap();
-            let lagging = e.event_head() - 1;
-            e.compact();
-            // Lagging watchers must re-list…
-            assert!(matches!(e.events_since(lagging - 1), Err(EtcdError::Compacted)));
-            assert!(matches!(e.events_since(lagging), Err(EtcdError::Compacted)));
-            assert!(matches!(e.events_after_revision(1), Err(EtcdError::Compacted)));
-            // …caught-up watchers and fresh cursors are unaffected…
-            assert!(e.events_since(e.event_head()).is_ok());
-            assert!(e.events_after_revision(e.revision()).is_ok());
-            // …and the store itself is untouched.
-            assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![1]);
-            assert_eq!(e.revision(), 2);
-            assert!(e.compactions() >= 1);
-            // The stream resumes cleanly after the compaction.
-            let cursor = e.event_head();
-            e.put("/c", vec![3]).unwrap();
-            let (evs, _) = e.events_since(cursor).unwrap();
-            assert_eq!(evs.len(), 1);
-            assert_eq!(evs[0].key, "/c");
-        });
+        let mut e = Etcd::new(1, 4096);
+        e.put("/a", vec![1]).unwrap();
+        e.put("/b", vec![2]).unwrap();
+        let lagging = e.event_head() - 1;
+        e.compact();
+        // Lagging watchers must re-list…
+        assert!(matches!(e.events_since(lagging - 1), Err(EtcdError::Compacted)));
+        assert!(matches!(e.events_since(lagging), Err(EtcdError::Compacted)));
+        assert!(matches!(e.events_after_revision(1), Err(EtcdError::Compacted)));
+        // …caught-up watchers and fresh cursors are unaffected…
+        assert!(e.events_since(e.event_head()).is_ok());
+        assert!(e.events_after_revision(e.revision()).is_ok());
+        // …and the store itself is untouched.
+        assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![1]);
+        assert_eq!(e.revision(), 2);
+        assert!(e.compactions() >= 1);
+        // The stream resumes cleanly after the compaction.
+        let cursor = e.event_head();
+        e.put("/c", vec![3]).unwrap();
+        let (evs, _) = e.events_since(cursor).unwrap();
+        assert_eq!(evs.len(), 1);
+        assert_eq!(evs[0].key, "/c");
     }
 
     #[test]
@@ -709,212 +569,105 @@ mod tests {
         // The watch-pipeline contract the compaction-pressure family
         // leans on: a lagging cursor is a typed error and the stream
         // recovers once the watcher re-lists from the head.
-        on_both(4096, 1, |mut e| {
-            for i in 0..4 {
-                e.put(&format!("/k{i}"), vec![i as u8]).unwrap();
-            }
-            let (evs, next) = e.events_since(2).unwrap();
-            assert_eq!(evs.len(), 2, "tail view from a mid-log cursor");
-            assert_eq!(next, e.event_head());
-            e.compact();
-            assert_eq!(e.events_since(2), Err(EtcdError::Compacted));
-            let (empty, resumed) = e.events_since(e.event_head()).unwrap();
-            assert!(empty.is_empty());
-            assert_eq!(resumed, e.event_head());
-        });
+        let mut e = Etcd::new(1, 4096);
+        for i in 0..4 {
+            e.put(&format!("/k{i}"), vec![i as u8]).unwrap();
+        }
+        let (evs, next) = e.events_since(2).unwrap();
+        assert_eq!(evs.len(), 2, "tail view from a mid-log cursor");
+        assert_eq!(next, e.event_head());
+        e.compact();
+        assert_eq!(e.events_since(2), Err(EtcdError::Compacted));
+        let (empty, resumed) = e.events_since(e.event_head()).unwrap();
+        assert!(empty.is_empty());
+        assert_eq!(resumed, e.event_head());
     }
 
     #[test]
     fn corrupt_missing_key_or_replica_is_false() {
-        on_both(4096, 1, |mut e| {
-            assert!(!e.corrupt_at_rest(0, "/nope", vec![]));
-            e.put("/a", vec![1]).unwrap();
-            assert!(!e.corrupt_at_rest(5, "/a", vec![]));
-        });
+        let mut e = Etcd::new(1, 4096);
+        assert!(!e.corrupt_at_rest(0, "/nope", vec![]));
+        e.put("/a", vec![1]).unwrap();
+        assert!(!e.corrupt_at_rest(5, "/a", vec![]));
     }
 
     #[test]
     fn corrupt_nth_flips_a_deterministic_victim() {
-        on_both(4096, 1, |mut e| {
-            assert!(!e.corrupt_nth_at_rest(0, 0), "empty store has no victim");
-            e.put("/a", vec![0x0F]).unwrap();
-            e.put("/b", vec![0xF0]).unwrap();
-            // nth wraps modulo the key count: 3 % 2 == 1 → "/b".
-            assert!(e.corrupt_nth_at_rest(0, 3));
-            assert_eq!(e.get("/b").unwrap().0.to_vec(), vec![0x0F]);
-            assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![0x0F], "/a untouched");
-        });
+        let mut e = Etcd::new(1, 4096);
+        assert!(!e.corrupt_nth_at_rest(0, 0), "empty store has no victim");
+        e.put("/a", vec![0x0F]).unwrap();
+        e.put("/b", vec![0xF0]).unwrap();
+        // nth wraps modulo the key count: 3 % 2 == 1 → "/b".
+        assert!(e.corrupt_nth_at_rest(0, 3));
+        assert_eq!(e.get("/b").unwrap().0.to_vec(), vec![0x0F]);
+        assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![0x0F], "/a untouched");
     }
 
     #[test]
     fn clamp_and_restore_disk_budget() {
-        on_both(1 << 20, 1, |mut e| {
-            e.put("/a", vec![1; 32]).unwrap();
-            assert!(!e.is_degraded());
-            e.clamp_disk_budget();
-            assert!(e.is_stalled(), "clamped budget equals usage");
-            assert!(matches!(e.put("/grow", vec![1; 8]), Err(EtcdError::DiskFull)));
-            // Same-size rewrites still fit (no growth).
-            assert!(e.put("/a", vec![2; 32]).is_ok());
-            // Nested clamps keep the original budget.
-            e.clamp_disk_budget();
-            e.restore_disk_budget();
-            assert!(!e.is_stalled());
-            assert!(e.put("/grow", vec![1; 8]).is_ok());
-            // The rejection remains permanent degradation evidence.
-            assert!(e.is_degraded());
-        });
+        let mut e = Etcd::new(1, 1 << 20);
+        e.put("/a", vec![1; 32]).unwrap();
+        assert!(!e.is_degraded());
+        e.clamp_disk_budget();
+        assert!(e.is_stalled(), "clamped budget equals usage");
+        assert!(matches!(e.put("/grow", vec![1; 8]), Err(EtcdError::DiskFull)));
+        // Same-size rewrites still fit (no growth).
+        assert!(e.put("/a", vec![2; 32]).is_ok());
+        // Nested clamps keep the original budget.
+        e.clamp_disk_budget();
+        e.restore_disk_budget();
+        assert!(!e.is_stalled());
+        assert!(e.put("/grow", vec![1; 8]).is_ok());
+        // The rejection remains permanent degradation evidence.
+        assert!(e.is_degraded());
     }
 
     #[test]
     fn inconsistent_view_serves_stale_reads_while_writes_advance() {
-        on_both(4096, 1, |mut e| {
-            e.put("/a", vec![1]).unwrap();
-            e.begin_inconsistent_view(0);
-            assert!(e.inconsistent_view_active());
-            let rev = e.put("/a", vec![2]).unwrap();
-            e.put("/new", vec![3]).unwrap();
-            // Quorum readers are frozen at fault onset…
-            assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![1]);
-            assert!(e.get("/new").is_none());
-            assert_eq!(e.range("/").len(), 1);
-            // …while the revision and the watch stream carry the truth:
-            // different readers of the same revision see different bytes.
-            assert_eq!(e.revision(), 3);
-            let (evs, _) = e.events_after_revision(rev - 1).unwrap();
-            assert_eq!(evs[0].value.as_deref(), Some(&[2u8][..]));
-            e.end_inconsistent_view();
-            assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![2]);
-            assert_eq!(e.range("/").len(), 2);
-        });
+        let mut e = Etcd::new(1, 4096);
+        e.put("/a", vec![1]).unwrap();
+        e.begin_inconsistent_view(0);
+        assert!(e.inconsistent_view_active());
+        let rev = e.put("/a", vec![2]).unwrap();
+        e.put("/new", vec![3]).unwrap();
+        // Quorum readers are frozen at fault onset…
+        assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![1]);
+        assert!(e.get("/new").is_none());
+        assert_eq!(e.range("/").len(), 1);
+        // …while the revision and the watch stream carry the truth:
+        // different readers of the same revision see different bytes.
+        assert_eq!(e.revision(), 3);
+        let (evs, _) = e.events_after_revision(rev - 1).unwrap();
+        assert_eq!(evs[0].value.as_deref(), Some(&[2u8][..]));
+        e.end_inconsistent_view();
+        assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![2]);
+        assert_eq!(e.range("/").len(), 2);
     }
 
     #[test]
-    fn log_backend_seals_segments_and_compacts_garbage() {
-        let mut e = Etcd::with_backend(StorageKind::Log, 1, u64::MAX);
-        // Enough distinct keys to seal at least one segment…
-        for i in 0..SEGMENT_TARGET + 8 {
-            e.put(&format!("/k{i:04}"), vec![7; 8]).unwrap();
-        }
-        assert!(e.segments() >= 2, "active segment should have sealed");
-        let before = e.physical_bytes();
-        assert!(before > e.disk_used(), "framing overhead makes physical > logical");
-        // …then churn one key until garbage triggers background
-        // compaction (physical > 2× logical and above the floor).
-        let snapshot = e.range("");
-        for _ in 0..40_000 {
-            e.put("/churn", vec![9; 64]).unwrap();
-        }
-        assert!(e.compactions() >= 1, "garbage never triggered compaction");
-        // Churn appended ~2.8 MB; compaction keeps the log near the
-        // 64 KiB trigger floor instead of letting it grow unbounded.
-        assert!(e.physical_bytes() <= 66 * 1024, "log kept garbage: {}", e.physical_bytes());
-        // Background compaction is invisible to readers.
-        for (k, b, _) in snapshot {
-            if k != "/churn" {
-                assert_eq!(e.get(&k).unwrap().0, b);
-            }
-        }
-    }
-
-    #[test]
-    fn log_backend_recovers_index_from_segments() {
-        let mut e = Etcd::with_backend(StorageKind::Log, 1, u64::MAX);
-        for i in 0..SEGMENT_TARGET * 2 {
-            e.put(&format!("/k{:03}", i % 300), vec![(i % 251) as u8; 8]).unwrap();
-        }
-        e.delete("/k000");
-        let objects = e.object_count();
-        let revision = e.revision();
-        let disk = e.disk_used();
-        let snapshot = e.range("");
-        e.recover();
-        assert_eq!(e.object_count(), objects);
-        assert_eq!(e.revision(), revision);
-        assert_eq!(e.disk_used(), disk);
-        assert_eq!(e.range(""), snapshot);
-        // Replayed values still share the committed allocation.
-        let (bytes, _) = e.get("/k001").unwrap();
-        let (again, _) = e.get("/k001").unwrap();
-        assert!(Arc::ptr_eq(&bytes, &again));
-    }
-
-    #[test]
-    fn at_rest_corruption_is_durable_across_recovery() {
-        // Corruption lives on the replica's disk: a crash recovery
-        // replays the log *and* the tampered bytes survive (the §V-C1
-        // threat a quorum vote exists to mask).
-        for replicas in [1usize, 3] {
-            let mut e = Etcd::with_backend(StorageKind::Log, replicas, u64::MAX);
-            e.put("/a", vec![7, 7]).unwrap();
-            assert!(e.corrupt_at_rest(0, "/a", vec![0, 0]));
-            e.recover();
-            assert_eq!(e.get_unquorum(0, "/a").unwrap().0.to_vec(), vec![0, 0]);
-            if replicas == 3 {
-                // Quorum still masks the single corrupted replica.
-                assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![7, 7]);
-            }
-        }
-    }
-
-    #[test]
-    fn fork_is_copy_on_write_on_both_engines() {
-        on_both(1 << 20, 1, |mut e| {
-            e.put("/a", vec![1]).unwrap();
-            let mut fork = e.clone();
-            fork.put("/a", vec![2]).unwrap();
-            fork.put("/b", vec![3]).unwrap();
-            fork.compact();
-            // The original never sees the fork's writes (or vice versa).
-            assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![1]);
-            assert!(e.get("/b").is_none());
-            assert_eq!(e.revision(), 1);
-            assert!(e.events_since(0).is_ok(), "fork's compaction leaked");
-            e.put("/c", vec![4]).unwrap();
-            assert!(fork.get("/c").is_none());
-            // Untouched payloads stay shared (refcount, not copy).
-            let (orig, _) = e.get("/a").unwrap();
-            let (evs, _) = e.events_since(0).unwrap();
-            assert!(Arc::ptr_eq(&orig, evs[0].value.as_ref().unwrap()));
-        });
-    }
-
-    #[test]
-    fn log_backend_fork_recovery_is_independent() {
-        let mut e = Etcd::with_backend(StorageKind::Log, 1, u64::MAX);
-        for i in 0..SEGMENT_TARGET + 4 {
-            e.put(&format!("/k{i:04}"), vec![1; 4]).unwrap();
-        }
+    fn fork_is_copy_on_write() {
+        let mut e = Etcd::new(1, 1 << 20);
+        e.put("/a", vec![1]).unwrap();
         let mut fork = e.clone();
-        fork.put("/fork-only", vec![9]).unwrap();
-        fork.recover();
-        assert!(fork.get("/fork-only").is_some());
-        e.recover();
-        assert!(e.get("/fork-only").is_none());
-        assert_eq!(e.object_count() + 1, fork.object_count());
-    }
-
-    #[test]
-    fn storage_kind_parses_and_names() {
-        assert_eq!(StorageKind::parse("mem"), Some(StorageKind::Mem));
-        assert_eq!(StorageKind::parse("log"), Some(StorageKind::Log));
-        assert_eq!(StorageKind::parse("bolt"), None);
-        assert_eq!(StorageKind::Mem.name(), "mem");
-        assert_eq!(StorageKind::Log.to_string(), "log");
-        assert_eq!(StorageKind::default(), StorageKind::Mem);
-        assert_eq!(Etcd::new(1, 1).backend_name(), "mem");
-        assert_eq!(Etcd::with_backend(StorageKind::Log, 1, 1).backend_name(), "log");
+        fork.put("/a", vec![2]).unwrap();
+        fork.put("/b", vec![3]).unwrap();
+        fork.compact();
+        // The original never sees the fork's writes (or vice versa).
+        assert_eq!(e.get("/a").unwrap().0.to_vec(), vec![1]);
+        assert!(e.get("/b").is_none());
+        assert_eq!(e.revision(), 1);
+        assert!(e.events_since(0).is_ok(), "fork's compaction leaked");
+        e.put("/c", vec![4]).unwrap();
+        assert!(fork.get("/c").is_none());
+        // Untouched payloads stay shared (refcount, not copy).
+        let (orig, _) = e.get("/a").unwrap();
+        let (evs, _) = e.events_since(0).unwrap();
+        assert!(Arc::ptr_eq(&orig, evs[0].value.as_ref().unwrap()));
     }
 
     #[test]
     #[should_panic(expected = "at least one replica")]
     fn zero_replicas_panics() {
         let _ = Etcd::new(0, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one replica")]
-    fn zero_replicas_panics_on_log_engine() {
-        let _ = Etcd::with_backend(StorageKind::Log, 0, 1);
     }
 }

@@ -6,8 +6,7 @@
 //! corruption probe (§V-C1) only scratched. None of them touch a wire:
 //! the [`StorageActuator`] passes every message and acts through
 //! out-of-band [`WorldAction`]s the experiment driver applies to the
-//! store between time slices, so the faults work identically on every
-//! [`StorageBackend`](etcd_sim::StorageBackend).
+//! store between time slices.
 //!
 //! * **etcd-disk-full** — clamp the disk budget to current usage for a
 //!   window: every growing write is rejected
@@ -20,8 +19,8 @@
 //!   re-list, the real etcd watch-replay hazard.
 //! * **etcd-corrupt-at-rest** — replace one stored value's bytes on
 //!   one replica's disk (the §V-C1 threat): a quorum read masks it, an
-//!   unquorum read serves garbage, and on the log engine the
-//!   corruption is durable across crash recovery.
+//!   unquorum read serves garbage, and the watch cache serves the clean
+//!   object until an apiserver restart re-lists the store.
 //! * **etcd-inconsistent-view** — serve one replica's stale snapshot
 //!   to every reader for a window while writes keep advancing the
 //!   revision: the inconsistent-read anomaly of the multi-master BFT
@@ -338,8 +337,8 @@ impl FaultDef for EtcdCorruptAtRest {
 }
 
 static ETCD_CORRUPT_AT_REST_DEF: EtcdCorruptAtRest = EtcdCorruptAtRest;
-/// One replica's stored bytes replaced on disk (§V-C1), quorum-vote
-/// observable and durable across crash recovery on the log engine.
+/// One replica's stored bytes replaced on disk (§V-C1), observable
+/// through quorum votes and an apiserver restart's re-list.
 pub static ETCD_CORRUPT_AT_REST: Fault = Fault::new(&ETCD_CORRUPT_AT_REST_DEF);
 
 // --- etcd-inconsistent-view ------------------------------------------------

@@ -210,9 +210,8 @@ impl CriticalFieldGuard {
         let health = self.sample_health(api);
         // Storage-pressure response: a degraded store (disk budget
         // exhausted or writes already rejected) gets an operator-style
-        // compaction — semantics-preserving, reclaims the log engine's
-        // physical bytes, and trims the watch log so lagging watchers
-        // re-list instead of replaying into the stall.
+        // compaction — semantics-preserving, and trims the watch log so
+        // lagging watchers re-list instead of replaying into the stall.
         if health.etcd_stalled {
             api.etcd_mut().compact();
             self.metrics.store_compactions += 1;

@@ -1,18 +1,16 @@
 //! Work-stealing must not change results: per-experiment seeds derive
 //! from the planned (scenario, spec) — never from the plan index — so
 //! the campaign rows (and the golden baselines) must be identical to a
-//! serial run for any worker count and for either executor
-//! (shared-index stealing or the legacy static chunks). The
-//! same holds for every scenario in the registry — the rolling-update
-//! and node-drain additions are pinned here explicitly — and for every
-//! fault family, including the node-level families routed on per-node
-//! channel identity.
+//! serial run for any worker count. The same holds for every scenario
+//! in the registry — the rolling-update and node-drain additions are
+//! pinned here explicitly — and for every fault family, including the
+//! node-level families routed on per-node channel identity.
 
 use k8s_cluster::ClusterConfig;
 use k8s_model::Channel;
 use mutiny_core::campaign::{
-    generate_plan, plan_campaign, record_fields, run_campaign_range, run_campaign_static_chunks,
-    run_campaign_with_threads, PlannedExperiment,
+    generate_plan, plan_campaign, record_fields, run_campaign_range, run_campaign_with_threads,
+    PlannedExperiment,
 };
 use mutiny_core::golden::build_baseline_with_threads;
 use mutiny_core::Scenario;
@@ -50,9 +48,6 @@ fn campaign_rows_identical_across_thread_counts() {
         let parallel = run_campaign_with_threads(&cluster, &plan, &baselines, 2024, threads);
         assert_eq!(serial.rows, parallel.rows, "work-stealing changed results at {threads} threads");
     }
-
-    let chunked = run_campaign_static_chunks(&cluster, &plan, &baselines, 2024, 3);
-    assert_eq!(serial.rows, chunked.rows, "executors disagree");
 }
 
 #[test]

@@ -8,31 +8,37 @@
 //! reproduce the unsharded TSV byte for byte. Both identities hold by
 //! construction — per-experiment seeds derive from the (scenario, spec),
 //! never from the plan index or execution mode — and this wall keeps
-//! them held.
+//! them held. Forking at `t0` is sound only because every fault family
+//! is inert before its arm time; the registry-wide check of that claim
+//! lives here too.
 
-use k8s_cluster::ClusterConfig;
-use k8s_model::Channel;
+use k8s_apiserver::InterceptorHandle;
+use k8s_cluster::{ClusterConfig, World, WORKLOAD_START_MS};
+use k8s_model::{Channel, NoopInterceptor};
 use mutiny_core::campaign::{
-    plan_campaign, record_fields, run_campaign_with_threads_fork, PlannedExperiment,
+    plan_campaign, record_fields, run_campaign_with_threads_fork, scenario_world_seed,
+    PlannedExperiment,
 };
-use mutiny_core::golden::build_baseline_with_threads;
-use mutiny_core::Scenario;
+use mutiny_core::golden::{build_baseline_with_threads, Baseline};
+use mutiny_core::{ArmedFault, FaultActuator, Scenario};
+use mutiny_faults::SharedActuator;
 use mutiny_scenarios::{DEPLOY, FAILOVER, HPA_AUTOSCALE, NODE_DRAIN, ROLLING_UPDATE, SCALE_UP};
 use simkit::Rng;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
-/// One spec per (scenario, family) over the full 6×18 cross-product,
-/// with baselines for every scenario.
-fn cross_product_plan(
-    cluster: &ClusterConfig,
-) -> (Vec<PlannedExperiment>, HashMap<Scenario, mutiny_core::golden::Baseline>) {
-    let scenarios = [DEPLOY, SCALE_UP, FAILOVER, ROLLING_UPDATE, NODE_DRAIN, HPA_AUTOSCALE];
+fn scenarios() -> [Scenario; 6] {
+    [DEPLOY, SCALE_UP, FAILOVER, ROLLING_UPDATE, NODE_DRAIN, HPA_AUTOSCALE]
+}
+
+/// One spec per (scenario, family) over the full 6×18 cross-product.
+fn cross_product_plan(cluster: &ClusterConfig) -> Vec<PlannedExperiment> {
     let families = mutiny_faults::registry::all();
     assert!(families.len() >= 18);
     let mut rng = Rng::new(11);
     let mut plan = Vec::new();
-    let mut baselines = HashMap::new();
-    for sc in scenarios {
+    for sc in scenarios() {
         let traffic = record_fields(cluster, sc, vec![Channel::ApiToEtcd], 42);
         let full = plan_campaign(&traffic, sc, &families, &mut rng);
         for family in &families {
@@ -40,18 +46,26 @@ fn cross_product_plan(
                 plan.push(p.clone());
             }
         }
-        baselines.insert(sc, build_baseline_with_threads(cluster, sc, 4, 0xBA5E, 1));
     }
     // 6 scenarios × ≥18 families minus the four unreachable
     // (workload-defect × preinstalled-scenario) combinations.
     assert!(plan.len() >= 6 * 18 - 4, "cross-product too small: {}", plan.len());
-    (plan, baselines)
+    plan
+}
+
+/// Golden baselines for every scenario of the cross-product.
+fn cross_product_baselines(cluster: &ClusterConfig) -> HashMap<Scenario, Baseline> {
+    scenarios()
+        .into_iter()
+        .map(|sc| (sc, build_baseline_with_threads(cluster, sc, 4, 0xBA5E, 1)))
+        .collect()
 }
 
 #[test]
 fn forked_tsv_byte_identical_to_replay_across_thread_counts() {
     let cluster = ClusterConfig::default();
-    let (plan, baselines) = cross_product_plan(&cluster);
+    let plan = cross_product_plan(&cluster);
+    let baselines = cross_product_baselines(&cluster);
 
     // The ground truth: replay execution, serial.
     let replay = run_campaign_with_threads_fork(&cluster, &plan, &baselines, 2024, 1, false);
@@ -69,31 +83,73 @@ fn forked_tsv_byte_identical_to_replay_across_thread_counts() {
     }
 }
 
+/// A scenario world built on the campaign's per-scenario seed behind
+/// `interceptor`, with the scenario's ops scheduled.
+fn scheduled_world(
+    cluster: &ClusterConfig,
+    scenario: Scenario,
+    interceptor: InterceptorHandle,
+) -> World {
+    let cluster = ClusterConfig { seed: scenario_world_seed(2024, scenario), ..cluster.clone() };
+    let mut world = scenario.build_world(&cluster, interceptor);
+    scenario.schedule(&mut world);
+    world
+}
+
 #[test]
-fn log_backend_fork_byte_identical_to_replay() {
-    // Fork-the-world must stay a pure optimization on the log-structured
-    // engine too: its fork() is refcount bumps over sealed segments and
-    // the index, and forked children must replay byte-identically.
-    let mut cluster = ClusterConfig::default();
-    cluster.storage = etcd_sim::StorageKind::Log;
-    let (plan, baselines) = cross_product_plan(&cluster);
+fn every_family_is_inert_before_its_arm_time() {
+    // `forked_prefix` simulates the prefix up to `t0` under a no-op
+    // interceptor and hands it to the armed experiment. That is sound
+    // only if no registered family acts before it is armed: it must
+    // pass every message unchanged and schedule no world action. Run
+    // each planned (scenario, family) to `t0` behind its armed actuator,
+    // polling actions the way the experiment driver does, and compare
+    // the store with the no-op prefix.
+    let cluster = ClusterConfig::default();
+    let plan = cross_product_plan(&cluster);
 
-    let replay = run_campaign_with_threads_fork(&cluster, &plan, &baselines, 2024, 1, false);
-    let replay_tsv = mutiny_bench::render_rows(&replay);
-    assert_eq!(replay_tsv.lines().count(), plan.len());
+    let mut noop_digests = HashMap::new();
+    for sc in scenarios() {
+        let noop: InterceptorHandle = Rc::new(RefCell::new(NoopInterceptor));
+        let mut world = scheduled_world(&cluster, sc, noop);
+        let t0 = world.t0();
+        world.run_until(t0);
+        noop_digests.insert(sc, mutiny_trace::world_digest(&mut world));
+    }
 
-    let forked = run_campaign_with_threads_fork(&cluster, &plan, &baselines, 2024, 2, true);
-    assert_eq!(
-        replay_tsv,
-        mutiny_bench::render_rows(&forked),
-        "log-backend forked TSV diverged from replay"
-    );
+    for p in &plan {
+        let actuator: Rc<RefCell<Box<dyn FaultActuator>>> = Rc::new(RefCell::new(
+            ArmedFault::new(p.fault, p.spec.clone()).arm(WORKLOAD_START_MS),
+        ));
+        let handle: InterceptorHandle =
+            Rc::new(RefCell::new(SharedActuator(Rc::clone(&actuator))));
+        let mut world = scheduled_world(&cluster, p.scenario, handle);
+        let t0 = world.t0();
+        while world.now() < t0 {
+            world.run_until((world.now() + 250).min(t0));
+            let actions = actuator.borrow_mut().poll_actions(world.now());
+            assert!(
+                actions.is_empty(),
+                "{} on {} scheduled {actions:?} at {} ms, not after t0 = {t0} ms",
+                p.fault.name(),
+                p.scenario.name(),
+                world.now()
+            );
+        }
+        assert!(
+            mutiny_trace::world_digest(&mut world) == noop_digests[&p.scenario],
+            "{} on {} changed the store before t0",
+            p.fault.name(),
+            p.scenario.name()
+        );
+    }
 }
 
 #[test]
 fn two_shard_merge_byte_identical_to_unsharded() {
     let cluster = ClusterConfig::default();
-    let (plan, baselines) = cross_product_plan(&cluster);
+    let plan = cross_product_plan(&cluster);
+    let baselines = cross_product_baselines(&cluster);
 
     let unsharded = run_campaign_with_threads_fork(&cluster, &plan, &baselines, 2024, 2, true);
     let unsharded_tsv = mutiny_bench::render_rows(&unsharded);
