@@ -39,7 +39,8 @@ pub mod workqueue;
 pub use audit::{AuditLog, AuditRecord, RequestResult};
 pub use leader::LeaderElector;
 pub use policy::{
-    AdmissionPolicy, IntegrityAction, IntegrityChecker, IntegrityMetrics, PolicyCtx,
+    prefix_range, AdmissionPolicy, IntegrityAction, IntegrityChecker, IntegrityMetrics,
+    PolicyCtx,
 };
 
 use etcd_sim::{Bytes, Etcd, EtcdError};
@@ -49,7 +50,7 @@ use k8s_model::{
 };
 use simkit::{Trace, TraceLevel};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -324,9 +325,11 @@ pub struct ApiServer {
     interceptor: InterceptorHandle,
     trace: TraceHandle,
     audit: AuditLog,
-    /// Decoded watch cache. Objects are shared (`Rc`): list/get/watch
-    /// readers receive refcount bumps, never deep clones.
-    cache: HashMap<String, Rc<Object>>,
+    /// Decoded watch cache, ordered by registry key so every kind or
+    /// namespace prefix is one contiguous key range ([`prefix_range`]).
+    /// Objects are shared (`Rc`): list/get/watch readers receive refcount
+    /// bumps, never deep clones.
+    cache: BTreeMap<String, Rc<Object>>,
     /// Revision-keyed decode cache: the write path already *has* the
     /// decoded object it commits, so it remembers `(store bytes, object)`
     /// per committed revision, and the watch-cache drain reuses the
@@ -408,7 +411,7 @@ impl ApiServer {
             interceptor,
             trace,
             audit: AuditLog::default(),
-            cache: HashMap::new(),
+            cache: BTreeMap::new(),
             decode_cache: HashMap::new(),
             decode_cache_on: decode_cache_enabled(),
             decode_cache_hits: 0,
@@ -1014,7 +1017,7 @@ impl ApiServer {
                     // (only once the cluster has namespaces at all, so
                     // non-bootstrapped test fixtures stay usable).
                     let has_namespaces =
-                        self.cache.keys().any(|k| k.starts_with("/registry/namespaces/"));
+                        prefix_range(&self.cache, "/registry/namespaces/").next().is_some();
                     if op == Op::Create
                         && has_namespaces
                         && !kind.cluster_scoped()
@@ -1547,44 +1550,43 @@ impl ApiServer {
     }
 
     /// Lists objects of `kind`, optionally scoped to a namespace, in key
-    /// order (served from the watch cache). Each element is a shared
+    /// order (a range scan of the watch cache). Each element is a shared
     /// handle: listing N objects is N refcount bumps, not N deep clones.
     pub fn list(&mut self, kind: Kind, namespace: Option<&str>) -> Vec<Rc<Object>> {
         self.sync_cache();
-        let mut keys: Vec<String> = with_key_scratch(|prefix| {
+        with_key_scratch(|prefix| {
             registry_prefix_into(prefix, kind, namespace);
-            self.cache.keys().filter(|k| k.starts_with(&**prefix)).cloned().collect()
-        });
-        keys.sort();
-        if self.read_tracking.is_some() {
-            for k in &keys {
-                self.track_read(k);
+            if let Some(seen) = self.read_tracking.as_mut() {
+                for (k, _) in prefix_range(&self.cache, prefix) {
+                    if !seen.contains(k) {
+                        seen.insert(k.clone());
+                    }
+                }
             }
-        }
-        keys.into_iter().map(|k| self.cache[&k].clone()).collect()
+            prefix_range(&self.cache, prefix).map(|(_, o)| o.clone()).collect()
+        })
     }
 
-    /// Visits objects of `kind` (optionally namespace-scoped) without
-    /// cloning them — the cheap path for metrics sampling and the network
-    /// fabric, which run even while a pod storm floods the cache.
+    /// Visits objects of `kind` (optionally namespace-scoped) in key order
+    /// without cloning them — the cheap path for metrics sampling and the
+    /// network fabric, which run even while a pod storm floods the cache.
     pub fn for_each(&mut self, kind: Kind, namespace: Option<&str>, mut f: impl FnMut(&Object)) {
         self.sync_cache();
         with_key_scratch(|prefix| {
             registry_prefix_into(prefix, kind, namespace);
-            for (k, obj) in &self.cache {
-                if k.starts_with(&**prefix) {
-                    f(obj);
-                }
+            for (_, obj) in prefix_range(&self.cache, prefix) {
+                f(obj);
             }
         });
     }
 
-    /// Counts objects of `kind` without cloning.
+    /// Counts objects of `kind` (optionally namespace-scoped) without
+    /// cloning: the length of the key range [`ApiServer::list`] returns.
     pub fn count(&mut self, kind: Kind, namespace: Option<&str>) -> usize {
         self.sync_cache();
         with_key_scratch(|prefix| {
             registry_prefix_into(prefix, kind, namespace);
-            self.cache.keys().filter(|k| k.starts_with(&**prefix)).count()
+            prefix_range(&self.cache, prefix).count()
         })
     }
 
@@ -1979,6 +1981,53 @@ mod tests {
             assert!(b.get(Kind::Pod, "default", "q1").is_some());
         });
         assert_eq!(seen, 2);
+    }
+
+    #[test]
+    fn prefix_reads_follow_key_order_and_stop_at_the_namespace_boundary() {
+        let mut a = api();
+        // `default-x` shares the text `default` but not `default/`: its
+        // keys sort right before `default`'s ('-' < '/') and must stay
+        // out of `default`'s range.
+        for (ns, name) in [
+            ("kube-system", "dns"),
+            ("default-x", "a"),
+            ("default", "web-2"),
+            ("default", "web-10"),
+            ("default-x", "z"),
+            ("default", "db"),
+        ] {
+            a.create(Channel::UserToApi, pod(ns, name)).unwrap();
+        }
+        for (ns, name) in [("default", "web"), ("default-x", "web")] {
+            let mut s = k8s_model::Service::default();
+            s.metadata = k8s_model::ObjectMeta::named(ns, name);
+            s.spec.port = 80;
+            a.create(Channel::UserToApi, Object::Service(s)).unwrap();
+        }
+        let keys = |objs: &[Rc<Object>]| objs.iter().map(|o| o.key()).collect::<Vec<_>>();
+
+        // The order contract: a sorted full-cache filter on the prefix.
+        let mut expected: Vec<String> =
+            a.cache.keys().filter(|k| k.starts_with("/registry/pods/default/")).cloned().collect();
+        expected.sort();
+        assert_eq!(keys(&a.list(Kind::Pod, Some("default"))), expected);
+        let names: Vec<&str> =
+            expected.iter().filter_map(|k| k.strip_prefix("/registry/pods/default/")).collect();
+        assert_eq!(names, ["db", "web-10", "web-2"], "byte order, not numeric order");
+        assert_eq!(a.count(Kind::Pod, Some("default")), expected.len());
+        let mut visited = Vec::new();
+        a.for_each(Kind::Pod, Some("default"), |o| visited.push(o.key()));
+        assert_eq!(visited, expected);
+
+        // Unscoped: every namespace, pods only, still in key order.
+        let all = keys(&a.list(Kind::Pod, None));
+        assert_eq!(all.len(), 6);
+        assert!(all.iter().all(|k| k.starts_with("/registry/pods/")));
+        assert!(all.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(a.count(Kind::Pod, None), 6);
+        let services = keys(&a.list(Kind::Service, Some("default")));
+        assert_eq!(services, ["/registry/services/default/web"]);
     }
 
     #[test]

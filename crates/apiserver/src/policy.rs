@@ -22,7 +22,7 @@
 //! ablation benches.
 
 use k8s_model::{Channel, Object, Op};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A read-only request context handed to admission policies.
 #[derive(Debug)]
@@ -38,9 +38,23 @@ pub struct PolicyCtx<'a> {
     /// Simulated time.
     pub now: u64,
     /// Read-only view of the apiserver's watch cache (registry key →
-    /// object), for policies that need cluster-wide context such as
-    /// namespace pod counts.
-    pub view: &'a HashMap<String, std::rc::Rc<Object>>,
+    /// object, in key order), for policies that need cluster-wide context
+    /// such as namespace pod counts; read a key prefix with
+    /// [`prefix_range`].
+    pub view: &'a BTreeMap<String, std::rc::Rc<Object>>,
+}
+
+/// The entries of an ordered registry map whose keys start with `prefix`,
+/// in key order. Keys sharing a prefix are contiguous in a `BTreeMap`, so
+/// this is a range scan from `prefix` that stops at the first key past
+/// it: the cost is the matches, not the map.
+pub fn prefix_range<'a, V>(
+    map: &'a BTreeMap<String, V>,
+    prefix: &'a str,
+) -> impl Iterator<Item = (&'a String, &'a V)> + 'a {
+    use std::ops::Bound;
+    map.range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+        .take_while(move |(k, _)| k.starts_with(prefix))
 }
 
 /// A validating admission policy: reviews requests after the built-in
@@ -146,7 +160,7 @@ mod tests {
         let mut ns = Namespace::default();
         ns.metadata = ObjectMeta::named("", "default");
         let obj = Object::Namespace(ns);
-        let view = HashMap::new();
+        let view = BTreeMap::new();
         let ctx = PolicyCtx {
             op: Op::Create,
             channel: Channel::UserToApi,

@@ -58,21 +58,22 @@ fn store(c: &mut Criterion) {
     });
 }
 
-fn apiserver_write_path(c: &mut Criterion) {
-    // The end-to-end write hot path this PR targets: admit → encode
-    // (pooled scratch → shared Arc) → store commit (refcount moves) →
-    // watch-cache sync (decode-cache hit vs full re-decode). The A/B pair
-    // quantifies what the revision-keyed decode cache saves per update.
-    use k8s_model::{Channel, Object};
+fn api() -> k8s_apiserver::ApiServer {
     use std::cell::RefCell;
     use std::rc::Rc;
-    fn api() -> k8s_apiserver::ApiServer {
-        k8s_apiserver::ApiServer::new(
-            etcd_sim::Etcd::new(1, 1 << 30),
-            Rc::new(RefCell::new(k8s_model::NoopInterceptor)),
-            Rc::new(RefCell::new(simkit::Trace::new(64))),
-        )
-    }
+    k8s_apiserver::ApiServer::new(
+        etcd_sim::Etcd::new(1, 1 << 30),
+        Rc::new(RefCell::new(k8s_model::NoopInterceptor)),
+        Rc::new(RefCell::new(simkit::Trace::new(64))),
+    )
+}
+
+fn apiserver_write_path(c: &mut Criterion) {
+    // The end-to-end write hot path: admit → encode (pooled scratch →
+    // shared Arc) → store commit (refcount moves) → watch-cache sync
+    // (decode-cache hit vs full re-decode). The A/B pair quantifies what
+    // the revision-keyed decode cache saves per update.
+    use k8s_model::{Channel, Object};
     for (name, cache_on) in
         [("apiserver/update_sync_decode_cache", true), ("apiserver/update_sync_full_decode", false)]
     {
@@ -94,6 +95,32 @@ fn apiserver_write_path(c: &mut Criterion) {
     }
 }
 
+fn apiserver_list(c: &mut Criterion) {
+    // The main call of the `kcm.step_us` ledger row: the kcm watch router
+    // lists a namespace's Services on every pod event, and the ReplicaSet
+    // reconcile lists its namespace's pods. The cache holds a replication
+    // storm's worth of pods (2,000 over two namespaces) plus 3 Services;
+    // a list costs its key range, not the whole cache.
+    use k8s_model::{Channel, Kind, Object};
+    let mut a = api();
+    for i in 0..2_000 {
+        let mut pod = sample_pod();
+        let ns = if i % 2 == 0 { "default" } else { "kube-system" };
+        pod.metadata = k8s_model::ObjectMeta::named(ns, &format!("web-1-{i:05}"));
+        a.create(Channel::KcmToApi, Object::Pod(pod)).unwrap();
+    }
+    for i in 0..3 {
+        let svc = k8s_cluster::app_service(i);
+        a.create(Channel::UserToApi, Object::Service(svc)).unwrap();
+    }
+    c.bench_function("apiserver/list_pods_ns_2k", |b| {
+        b.iter(|| black_box(a.list(Kind::Pod, Some(black_box("default")))))
+    });
+    c.bench_function("apiserver/list_services_ns_2k", |b| {
+        b.iter(|| black_box(a.list(Kind::Service, Some(black_box("default")))))
+    });
+}
+
 fn experiment(c: &mut Criterion) {
     let mut group = c.benchmark_group("experiment");
     group.sample_size(10);
@@ -111,5 +138,5 @@ fn experiment(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, wire, store, apiserver_write_path, experiment);
+criterion_group!(benches, wire, store, apiserver_write_path, apiserver_list, experiment);
 criterion_main!(benches);

@@ -211,6 +211,27 @@ mod tests {
     }
 
     #[test]
+    fn unready_nodes_are_replaced_in_name_order() {
+        let mut a = api();
+        // Registered out of name order: the deletions must not follow
+        // creation order (nor any hash order), only the names.
+        for name in ["w3", "w1", "w2"] {
+            install_node(&mut a, name, false);
+        }
+        let mut r = NodeRepairer::new(NodeRepairConfig::default());
+        r.step(&mut a, 0);
+        let cursor = a.watch_head();
+        r.step(&mut a, 31_000);
+        let (events, _) = a.poll_events(cursor);
+        let deleted: Vec<&str> = events
+            .iter()
+            .filter(|e| e.kind == Kind::Node && e.object.is_none())
+            .map(|e| &*e.key)
+            .collect();
+        assert_eq!(deleted, ["/registry/nodes/w1", "/registry/nodes/w2", "/registry/nodes/w3"]);
+    }
+
+    #[test]
     fn recovery_resets_the_grace_clock() {
         let mut a = api();
         install_node(&mut a, "w1", false);

@@ -159,8 +159,8 @@ pub(crate) fn execute_op(
             }
         }
         UserOp::EvictPodOn { node } => {
-            // Smallest name wins so the eviction sequence is deterministic
-            // (the cache iterates in hash order).
+            // Smallest name wins (the first match: `for_each` visits in key
+            // order), so the eviction sequence is deterministic.
             let mut victim: Option<String> = None;
             api.for_each(Kind::Pod, Some("default"), |obj| {
                 if let Object::Pod(p) = obj {

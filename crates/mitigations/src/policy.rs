@@ -8,7 +8,7 @@
 //! counts … and mitigate failures". Each proposal is one
 //! [`AdmissionPolicy`] here.
 
-use k8s_apiserver::{AdmissionPolicy, PolicyCtx};
+use k8s_apiserver::{prefix_range, AdmissionPolicy, PolicyCtx};
 use k8s_model::{Object, Op};
 
 /// Label marking a Deployment as critical: scaling it to zero (or deleting
@@ -178,7 +178,7 @@ impl AdmissionPolicy for NamespacePodQuota {
             return Ok(());
         }
         let prefix = format!("/registry/pods/{ns}/");
-        let current = ctx.view.keys().filter(|k| k.starts_with(&prefix)).count();
+        let current = prefix_range(ctx.view, &prefix).count();
         if current >= self.max_pods {
             return Err(format!(
                 "namespace {ns:?} is at its pod quota ({current}/{})",
@@ -193,12 +193,12 @@ impl AdmissionPolicy for NamespacePodQuota {
 mod tests {
     use super::*;
     use k8s_model::{Channel, Container, Deployment, ObjectMeta, Pod};
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn ctx<'a>(
         op: Op,
         object: &'a Object,
-        view: &'a HashMap<String, std::rc::Rc<Object>>,
+        view: &'a BTreeMap<String, std::rc::Rc<Object>>,
     ) -> PolicyCtx<'a> {
         PolicyCtx { op, channel: Channel::UserToApi, object, existing: None, now: 0, view }
     }
@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn coredns_scale_to_zero_denied() {
-        let view = HashMap::new();
+        let view = BTreeMap::new();
         let mut p = DenyCriticalScaleToZero;
         let zero = dns_deployment(0);
         assert!(p.review(&ctx(Op::Update, &zero, &view)).is_err());
@@ -224,7 +224,7 @@ mod tests {
 
     #[test]
     fn ordinary_deployment_may_scale_to_zero() {
-        let view = HashMap::new();
+        let view = BTreeMap::new();
         let mut p = DenyCriticalScaleToZero;
         let mut d = Deployment::default();
         d.metadata = ObjectMeta::named("default", "web");
@@ -234,7 +234,7 @@ mod tests {
 
     #[test]
     fn critical_label_protects_any_deployment() {
-        let view = HashMap::new();
+        let view = BTreeMap::new();
         let mut p = DenyCriticalScaleToZero;
         let mut d = Deployment::default();
         d.metadata = ObjectMeta::named("default", "payments");
@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn unbounded_pod_denied() {
-        let view = HashMap::new();
+        let view = BTreeMap::new();
         let mut p = RequireResourceLimits;
         assert!(p.review(&ctx(Op::Create, &pod_with_resources(0, 64), &view)).is_err());
         assert!(p.review(&ctx(Op::Create, &pod_with_resources(100, 0), &view)).is_err());
@@ -267,7 +267,7 @@ mod tests {
 
     #[test]
     fn replica_ceiling_caps_workloads_and_hpa() {
-        let view = HashMap::new();
+        let view = BTreeMap::new();
         let mut p = ReplicaCeiling { max: 10 };
         let mut d = Deployment::default();
         d.metadata = ObjectMeta::named("default", "web");
@@ -286,7 +286,7 @@ mod tests {
 
     #[test]
     fn pod_quota_counts_namespace_pods() {
-        let mut view = HashMap::new();
+        let mut view = BTreeMap::new();
         for i in 0..3 {
             let key = format!("/registry/pods/default/p{i}");
             view.insert(key, std::rc::Rc::new(pod_with_resources(100, 64)));
@@ -306,8 +306,24 @@ mod tests {
     }
 
     #[test]
+    fn pod_quota_stops_at_the_namespace_boundary() {
+        // `default-x` keys share the text `default` (and sort right before
+        // `default/` keys): they must not count against `default`.
+        let mut view = BTreeMap::new();
+        let pod = std::rc::Rc::new(pod_with_resources(100, 64));
+        for i in 0..3 {
+            view.insert(format!("/registry/pods/default-x/p{i}"), pod.clone());
+        }
+        view.insert("/registry/pods/default/p0".to_owned(), pod.clone());
+        let mut p = NamespacePodQuota { max_pods: 2, exempt: Vec::new() };
+        assert!(p.review(&ctx(Op::Create, &pod, &view)).is_ok(), "1/2 in default");
+        view.insert("/registry/pods/default/p1".to_owned(), pod.clone());
+        assert!(p.review(&ctx(Op::Create, &pod, &view)).is_err(), "2/2 in default");
+    }
+
+    #[test]
     fn quota_ignores_updates_and_deletes() {
-        let view = HashMap::new();
+        let view = BTreeMap::new();
         let mut p = NamespacePodQuota { max_pods: 0, exempt: Vec::new() };
         let pod = pod_with_resources(100, 64);
         assert!(p.review(&ctx(Op::Update, &pod, &view)).is_ok());

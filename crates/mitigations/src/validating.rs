@@ -241,13 +241,13 @@ impl AdmissionPolicy for ValidatingAdmission {
 mod tests {
     use super::*;
     use k8s_model::{Channel, Container, Deployment, LabelSelector, ObjectMeta, Pod, ReplicaSet};
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     use std::rc::Rc;
 
     fn ctx<'a>(
         op: Op,
         object: &'a Object,
-        view: &'a HashMap<String, Rc<Object>>,
+        view: &'a BTreeMap<String, Rc<Object>>,
     ) -> PolicyCtx<'a> {
         PolicyCtx { op, channel: Channel::UserToApi, object, existing: None, now: 0, view }
     }
@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn clean_specs_pass_untouched() {
-        let view = HashMap::new();
+        let view = BTreeMap::new();
         let mut v = ValidatingAdmission::default();
         for obj in [pod(), Object::ReplicaSet(rs())] {
             assert_eq!(v.repair(&ctx(Op::Create, &obj, &view)), None, "{obj:?}");
@@ -294,7 +294,7 @@ mod tests {
 
     #[test]
     fn limit_below_request_is_repaired() {
-        let view = HashMap::new();
+        let view = BTreeMap::new();
         let mut v = ValidatingAdmission::default();
         let mut obj = pod();
         if let Object::Pod(p) = &mut obj {
@@ -307,7 +307,7 @@ mod tests {
 
     #[test]
     fn missing_and_unhostable_requests_are_rejected() {
-        let view = HashMap::new();
+        let view = BTreeMap::new();
         let mut v = ValidatingAdmission::default();
         let mut zero = pod();
         if let Object::Pod(p) = &mut zero {
@@ -324,7 +324,7 @@ mod tests {
 
     #[test]
     fn broken_selector_is_restored_from_the_template() {
-        let view = HashMap::new();
+        let view = BTreeMap::new();
         let mut v = ValidatingAdmission::default();
         // Template-label typo: the intact selector restores the label,
         // so downstream services keep matching the created pods.
@@ -348,7 +348,7 @@ mod tests {
 
     #[test]
     fn flappy_probe_and_bad_grace_are_repaired() {
-        let view = HashMap::new();
+        let view = BTreeMap::new();
         let mut v = ValidatingAdmission::default();
         let mut obj = pod();
         if let Object::Pod(p) = &mut obj {
@@ -374,7 +374,7 @@ mod tests {
 
     #[test]
     fn runaway_replicas_are_clamped_and_zero_is_left_alone() {
-        let view = HashMap::new();
+        let view = BTreeMap::new();
         let mut v = ValidatingAdmission::default();
         let mut d = Deployment::default();
         d.metadata = ObjectMeta::named("default", "web");
